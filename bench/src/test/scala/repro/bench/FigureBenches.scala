@@ -74,7 +74,7 @@ class Fig17PatternBench extends SparkSpec {
 class SparkPipelineBench extends SparkSpec {
   test("distributed pipeline: SparkIPPV equals local IPPV end-to-end") {
     val t = Experiments.sparkPipeline(spark, repro.SynthGraphs.benchmarkSuite().head)
-    println("\n=== Spark end-to-end pipeline (distributed enumeration + FW rounds) ===")
+    println("\n=== Spark end-to-end pipeline (distributed enumeration + local driver) ===")
     println(t)
   }
 }

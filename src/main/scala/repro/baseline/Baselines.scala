@@ -24,16 +24,12 @@ import scala.collection.mutable
 object Baselines {
 
   /** Flow-based top-k locally densest subgraphs (LDS), h = 2. */
-  def ldsFlow(g: LocalGraph, k: Int): Seq[IPPV.Lhcds] = {
-    val inst = CliqueEnum.enumerate(g, 2)
-    IPPV.topK(g, inst, k, IPPV.Config(useCP = false, fastVerify = false))
-  }
+  def ldsFlow(g: LocalGraph, k: Int): Seq[IPPV.Lhcds] =
+    flowTopK(g, CliqueEnum.enumerate(g, 2), k)
 
   /** Flow-based top-k locally triangle-densest subgraphs (LTDS), h = 3. */
-  def ltds(g: LocalGraph, k: Int): Seq[IPPV.Lhcds] = {
-    val inst = CliqueEnum.enumerate(g, 3)
-    IPPV.topK(g, inst, k, IPPV.Config(useCP = false, fastVerify = false))
-  }
+  def ltds(g: LocalGraph, k: Int): Seq[IPPV.Lhcds] =
+    flowTopK(g, CliqueEnum.enumerate(g, 3), k)
 
   /** Generic flow-first top-k for any instance set (used by benches to
     * time the baseline on pre-enumerated instances).

@@ -21,8 +21,33 @@ object CliqueEnum {
     if (h == 1) {
       var v = 0
       while (v < g.n) { out += Array(v); v += 1 }
-      return InstanceSet(g.n, h, out)
-    }
+    } else
+      list(g, h) { (stack, cand) =>
+        var i = 0
+        while (i < cand.length) {
+          stack(h - 1) = cand(i)
+          out += java.util.Arrays.copyOf(stack, h)
+          i += 1
+        }
+      }
+    InstanceSet(g.n, h, out)
+  }
+
+  /** Count h-cliques without materializing them. */
+  def count(g: LocalGraph, h: Int): Long = {
+    require(h >= 1, "h must be >= 1")
+    if (h == 1) return g.n.toLong
+    var total = 0L
+    list(g, h)((_, cand) => total += cand.length)
+    total
+  }
+
+  /** The kClist recursion, for h >= 2. Calls `leaf(stack, cand)` once per
+    * oriented (h−1)-clique `stack(0 until h-1)`, with `cand` the
+    * out-neighbours common to all its vertices: each vertex of `cand`
+    * completes one h-clique. `stack` is reused, so `leaf` must copy it.
+    */
+  private def list(g: LocalGraph, h: Int)(leaf: (Array[Int], Array[Int]) => Unit): Unit = {
     val (_, rank, _) = g.degeneracyOrder()
     // out-neighbors in rank order (sorted by vertex id for intersections)
     val outAdj = Array.tabulate(g.n) { v =>
@@ -43,64 +68,20 @@ object CliqueEnum {
       buf.toArray
     }
 
-    def rec(depth: Int, cand: Array[Int]): Unit = {
-      if (depth == h) { out += java.util.Arrays.copyOf(stack, h); return }
-      var i = 0
-      while (i < cand.length) {
-        val v = cand(i)
-        stack(depth) = v
-        if (depth + 1 == h) out += java.util.Arrays.copyOf(stack, h)
-        else rec(depth + 1, intersect(cand, v))
-        i += 1
+    def rec(depth: Int, cand: Array[Int]): Unit =
+      if (depth == h - 1) leaf(stack, cand)
+      else {
+        var i = 0
+        while (i < cand.length) {
+          val v = cand(i)
+          stack(depth) = v
+          rec(depth + 1, intersect(cand, v))
+          i += 1
+        }
       }
-    }
 
     var v = 0
-    while (v < g.n) {
-      stack(0) = v
-      if (h == 1) out += Array(v)
-      else rec(1, outAdj(v))
-      v += 1
-    }
-    InstanceSet(g.n, h, out)
-  }
-
-  /** Count h-cliques without materializing them. */
-  def count(g: LocalGraph, h: Int): Long = {
-    require(h >= 1, "h must be >= 1")
-    if (h == 1) return g.n.toLong
-    val (_, rank, _) = g.degeneracyOrder()
-    val outAdj = Array.tabulate(g.n) { v =>
-      g.neighbors(v).filter(w => rank(w) > rank(v))
-    }
-
-    def intersect(a: Array[Int], v: Int): Array[Int] = {
-      val b = outAdj(v)
-      val buf = new mutable.ArrayBuffer[Int](math.min(a.length, b.length))
-      var i = 0; var j = 0
-      while (i < a.length && j < b.length) {
-        if (a(i) == b(j)) { buf += a(i); i += 1; j += 1 }
-        else if (a(i) < b(j)) i += 1
-        else j += 1
-      }
-      buf.toArray
-    }
-
-    def rec(depth: Int, cand: Array[Int]): Long = {
-      if (depth == h - 1) return cand.length.toLong
-      var total = 0L
-      var i = 0
-      while (i < cand.length) {
-        total += rec(depth + 1, intersect(cand, cand(i)))
-        i += 1
-      }
-      total
-    }
-
-    var total = 0L
-    var v = 0
-    while (v < g.n) { total += rec(1, outAdj(v)); v += 1 }
-    total
+    while (v < g.n) { stack(0) = v; rec(1, outAdj(v)); v += 1 }
   }
 
   /** Brute-force h-clique enumeration by subset check — test oracle only. */

@@ -92,9 +92,8 @@ object IPPV {
 
     // InitializeBd (Algorithm 1): core-based bounds, slacked safely.
     val cores = CliqueCore.coreNumbers(inst)
-    val ubVerify = cores.map(_.toDouble + 1e-12)            // globally valid, verification-grade
-    val ubPrune = ubVerify.clone()                          // may take subproblem updates
-    val lb = cores.map(c => c.toDouble / inst.h - 1e-9)     // globally valid lower bound
+    val (ubVerify, lb) = Bounds.initial(cores, inst.h) // globally valid, verification-grade
+    val ubPrune = ubVerify.clone()                      // may take subproblem updates
     val inOutput = new Array[Boolean](n)
 
     val queue = mutable.PriorityQueue.empty[Work](workOrder)
@@ -149,7 +148,7 @@ object IPPV {
         val gMask = new Array[Boolean](subG.n)
         sg.groups(gi).foreach(v => if (alive(v)) gMask(v) = true)
         for (comp <- subG.componentsWithin(gMask)) {
-          val key = math.min(w.key, sg.groupMaxR(gi) + StableGroups.boundSlack)
+          val key = math.min(w.key, sg.groupMaxR(gi) + Bounds.groupSlack)
           children ::= ((comp.map(orig), key))
         }
         gi += 1
@@ -175,7 +174,7 @@ object IPPV {
       val subInst = inst.remapTo(w.vs)
       val (dLocal, num, den) = Verify.exactDensest(w.vs.length, subInst)
       val d = dLocal.map(w.vs(_))
-      val dDensity = num.toDouble / den + 1e-12
+      val dDensity = num.toDouble / den + Bounds.exactSlack
       if (d.length == w.vs.length) {
         // whole candidate is its own densest: ripe for verification
         queue.enqueue(w.copy(proposed = true, refineRound = cfg.maxRefineRounds))
@@ -204,7 +203,9 @@ object IPPV {
           val d = num.toDouble / den
           w.vs.foreach { v =>
             inOutput(v) = true
-            lb(v) = d - 1e-12; ubVerify(v) = d + 1e-12; ubPrune(v) = math.min(ubPrune(v), d + 1e-12)
+            lb(v) = d - Bounds.exactSlack
+            ubVerify(v) = d + Bounds.exactSlack
+            ubPrune(v) = math.min(ubPrune(v), d + Bounds.exactSlack)
           }
         case None =>
           if (!w.proposed) refine(w)

@@ -11,8 +11,10 @@ package repro.core
   * poorest member, updating r *sequentially* as in the paper's SEQ
   * variant.
   *
-  * State lives in [[CPState]] so the IPPV driver can warm-start a
-  * candidate's iterations across propose/verify rounds.
+  * [[CPState]] is what the driver's `fwRunner` returns from either solver,
+  * this one or the distributed [[SparkKClistPP]]; TentativeGD and the
+  * stable-group derivation read (α, r) from it. The driver starts a fresh
+  * state in every propose round.
   */
 object KClistPP {
 

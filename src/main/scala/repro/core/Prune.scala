@@ -12,14 +12,13 @@ import repro.graph.LocalGraph
   * vertices only — remove it too, iterating to a fixpoint because core
   * numbers only shrink as vertices disappear.
   *
-  * All comparisons carry a safety slack in the non-pruning direction, so a
-  * true LhCDS member is never pruned even under floating-point drift of
-  * the bounds (Proposition 5's guarantee is what IPPV's exactness rests
-  * on); over-retained vertices only cost time downstream.
+  * All comparisons carry [[Bounds.pruneSlack]] in the non-pruning
+  * direction, so a true LhCDS member is never pruned even under
+  * floating-point drift of the bounds (Proposition 5's guarantee is what
+  * IPPV's exactness rests on); over-retained vertices only cost time
+  * downstream.
   */
 object Prune {
-
-  val slack: Double = 1e-9
 
   /** Returns the keep-mask over the vertices of `g`. `ub`/`lb` are the
     * current compact-number bounds in the same id space.
@@ -34,7 +33,7 @@ object Prune {
       var i = g.offsets(v)
       var dead = false
       while (!dead && i < g.offsets(v + 1)) {
-        if (lb(g.adj(i)) > ub(v) + slack) dead = true
+        if (lb(g.adj(i)) > ub(v) + Bounds.pruneSlack) dead = true
         i += 1
       }
       if (dead) alive(v) = false
@@ -49,7 +48,7 @@ object Prune {
       val cores = CliqueCore.coreNumbers(restricted)
       var u = 0
       while (u < n) {
-        if (alive(u) && cores(u) < lb(u) - slack) { alive(u) = false; changed = true }
+        if (alive(u) && cores(u) < lb(u) - Bounds.pruneSlack) { alive(u) = false; changed = true }
         u += 1
       }
     }

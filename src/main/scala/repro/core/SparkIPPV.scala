@@ -12,9 +12,7 @@ import repro.graph.{LocalGraph, SparkGraph}
   *  - the propose phase's Frank–Wolfe rounds run distributed when the
   *    instance set is large ([[SparkKClistPP]], injected as the driver's
   *    `fwRunner`), falling back to the sequential SEQ-kClist++ on the
-  *    small candidate subproblems deeper in the recursion;
-  *  - candidate flow verification can run candidate-parallel on executors
-  *    with broadcast graph + instances ([[verifyBatch]]).
+  *    small candidate subproblems deeper in the recursion.
   *
   * The driver logic itself ([[IPPV]]) is shared, so Spark and local runs
   * return *identical* LhCDS sets — asserted by the test suite.
@@ -38,39 +36,5 @@ object SparkIPPV {
       if (sub.size >= distributedFwThreshold) SparkKClistPP.run(spark, sub, iters)
       else KClistPP.fresh(sub, iters)
     IPPV.topK(g, inst, k, cfg.copy(fwRunner = fwRunner))
-  }
-
-  /** Verify a batch of candidate vertex sets in parallel, one flow network
-    * per task (per-partition verification). Returns the fast-verification
-    * verdict for each candidate, in order.
-    */
-  def verifyBatch(
-      spark: SparkSession,
-      g: LocalGraph,
-      inst: InstanceSet,
-      candidates: Seq[Array[Int]],
-      ub: Array[Double],
-      lb: Array[Double],
-      inOutput: Array[Boolean],
-  ): Seq[Boolean] = {
-    if (candidates.isEmpty) return Seq.empty
-    val sc = spark.sparkContext
-    val gB = sc.broadcast(g)
-    val instB = sc.broadcast(inst)
-    val ubB = sc.broadcast(ub)
-    val lbB = sc.broadcast(lb)
-    val outB = sc.broadcast(inOutput)
-    try {
-      sc.parallelize(candidates.zipWithIndex, math.min(candidates.size, sc.defaultParallelism))
-        .map { case (vs, i) =>
-          (i, Verify.fastVerify(gB.value, instB.value, vs, ubB.value, lbB.value, outB.value))
-        }
-        .collect()
-        .sortBy(_._1)
-        .map(_._2)
-        .toSeq
-    } finally {
-      gB.destroy(); instB.destroy(); ubB.destroy(); lbB.destroy(); outB.destroy()
-    }
   }
 }

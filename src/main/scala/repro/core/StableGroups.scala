@@ -23,16 +23,14 @@ package repro.core
   * Segments between clean boundaries satisfy all three conditions of
   * Definition 6 (the α-clean test is slightly *stronger* than condition 3,
   * which only coarsens groups — still sound). Because bound validity is
-  * what exactness rests on, the r-gap test and the applied bounds carry a
-  * safety slack: a group boundary that "should" be a tie is never split,
-  * and bounds are widened by `boundSlack` to absorb floating-point drift
-  * of the Frank–Wolfe weights. Verification downstream is exact integer
-  * flow, so slack costs only speed, never correctness.
+  * what exactness rests on, the r-gap test ([[Bounds.gapClean]]) and the
+  * applied bounds carry a safety slack: a group boundary that "should" be
+  * a tie is never split, and bounds are widened by [[Bounds.groupSlack]]
+  * to absorb floating-point drift of the Frank–Wolfe weights.
+  * Verification downstream is exact integer flow, so slack costs only
+  * speed, never correctness.
   */
 object StableGroups {
-
-  /** Widening applied to the Theorem-4 bounds to absorb float drift. */
-  val boundSlack: Double = 1e-6
 
   final case class Result(
       groups: Array[Array[Int]],     // r-descending stable groups
@@ -80,11 +78,7 @@ object StableGroups {
     i = 0
     while (i < n) {
       cover += dirty(i)
-      val gapClean =
-        i == n - 1 || {
-          val hi = r(sorted(i)); val lo = r(sorted(i + 1))
-          hi - lo > 1e-9 + 1e-12 * math.abs(hi)
-        }
+      val gapClean = i == n - 1 || Bounds.gapClean(r(sorted(i)), r(sorted(i + 1)))
       if (gapClean && cover == 0) {
         val g = java.util.Arrays.copyOfRange(sorted, start, i + 1)
         groups += g
@@ -99,13 +93,13 @@ object StableGroups {
   }
 
   /** Tighten the running bounds with the Theorem-4 group brackets,
-    * widened by [[boundSlack]]. Mutates `ub` and `lb` in place.
+    * widened by [[Bounds.groupSlack]]. Mutates `ub` and `lb` in place.
     */
   def tightenBounds(res: Result, ub: Array[Double], lb: Array[Double]): Unit = {
     var gi = 0
     while (gi < res.groups.length) {
-      val hi = res.groupMaxR(gi) + boundSlack
-      val lo = res.groupMinR(gi) - boundSlack
+      val hi = res.groupMaxR(gi) + Bounds.groupSlack
+      val lo = res.groupMinR(gi) - Bounds.groupSlack
       for (v <- res.groups(gi)) {
         if (hi < ub(v)) ub(v) = hi
         if (lo > lb(v)) lb(v) = lo

@@ -208,8 +208,8 @@ object Verify {
     val num = inst.countWithin(sMask)
     val den = sSorted.length.toLong
     if (num == 0) return false
-    val rhoMinus = num.toDouble / den - 1e-12 // inclusive ≥ ρ test for ub
-    val rhoPlus = num.toDouble / den + 1e-12  // strict > ρ test for lb
+    val rhoMinus = num.toDouble / den - Bounds.exactSlack // inclusive ≥ ρ test for ub
+    val rhoPlus = num.toDouble / den + Bounds.exactSlack  // strict > ρ test for lb
 
     // early False: S member or S neighbor certainly in a denser region
     if (sSorted.exists(u => lb(u) > rhoPlus)) return false

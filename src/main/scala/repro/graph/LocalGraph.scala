@@ -164,15 +164,18 @@ final class LocalGraph(val n: Int, val offsets: Array[Int], val adj: Array[Int])
 
 object LocalGraph {
 
-  /** Build from an edge list; self loops dropped, duplicates merged,
-    * both (u,v) and (v,u) accepted.
+  /** Build from an edge list; out-of-range endpoints rejected (self loops
+    * included), self loops dropped, duplicates merged, both (u,v) and
+    * (v,u) accepted.
     */
   def fromEdges(n: Int, edges: Iterable[(Int, Int)]): LocalGraph = {
     val sets = Array.fill(n)(mutable.SortedSet.empty[Int])
-    for ((u, v) <- edges if u != v) {
+    for ((u, v) <- edges) {
       require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u,$v) out of range [0,$n)")
-      sets(u) += v
-      sets(v) += u
+      if (u != v) {
+        sets(u) += v
+        sets(v) += u
+      }
     }
     val offsets = new Array[Int](n + 1)
     var total = 0

@@ -52,8 +52,7 @@ class PropertySpec extends SparkSpec {
       if (inst.size == 0) true
       else {
         val cores = CliqueCore.coreNumbers(inst)
-        val ub = cores.map(_.toDouble + 1e-12)
-        val lb = cores.map(_.toDouble / 3 - 1e-9)
+        val (ub, lb) = Bounds.initial(cores, 3)
         val none = new Array[Boolean](g.n)
         val rnd = new scala.util.Random(s)
         val vs = (0 until g.n).filter(_ => rnd.nextBoolean()).toArray
@@ -115,8 +114,8 @@ class PropertySpec extends SparkSpec {
         res.groups.zipWithIndex.forall { case (grp, gi) =>
           grp.forall { v =>
             val exact = phi(v)._1.toDouble / phi(v)._2
-            exact <= res.groupMaxR(gi) + StableGroups.boundSlack &&
-              exact >= res.groupMinR(gi) - StableGroups.boundSlack
+            exact <= res.groupMaxR(gi) + Bounds.groupSlack &&
+              exact >= res.groupMinR(gi) - Bounds.groupSlack
           }
         }
       }

@@ -39,8 +39,7 @@ class PruneSpec extends SparkSpec {
       val inst = CliqueEnum.enumerate(g, 3)
       if (inst.size > 0) {
         val cores = CliqueCore.coreNumbers(inst)
-        val ub = cores.map(_.toDouble + 1e-12)
-        val lb = cores.map(_.toDouble / 3 - 1e-9)
+        val (ub, lb) = Bounds.initial(cores, 3)
         // tighten with a CP round, as the driver does
         val st = KClistPP.fresh(inst, 60)
         TentativeGD.run(st)

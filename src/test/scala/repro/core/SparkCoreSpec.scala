@@ -3,7 +3,7 @@ package repro.core
 import repro.{SparkSpec, TestGraphs}
 import repro.clique.CliqueEnum
 
-/** Distributed propose-phase pieces: SparkKClistPP and SparkTentativeGD. */
+/** Distributed pieces: SparkKClistPP and the Spark-orchestrated SparkIPPV. */
 class SparkCoreSpec extends SparkSpec {
 
   test("SparkKClistPP produces a feasible state aligned with the instance order") {
@@ -37,21 +37,6 @@ class SparkCoreSpec extends SparkSpec {
       assert(math.abs(dist.r(v) - seq.r(v)) < 0.5, s"v=$v dist=${dist.r(v)} seq=${seq.r(v)}")
   }
 
-  test("SparkTentativeGD blocks equal the local TentativeGD blocks") {
-    for (seed <- 1 to 4) {
-      val g = TestGraphs.random(13, 0.5, seed + 6000)
-      val inst = CliqueEnum.enumerate(g, 3)
-      if (inst.size > 0) {
-        val st = KClistPP.fresh(inst, 30)
-        val rSnapshot = st.r.clone()
-        val instDf = SparkTentativeGD.instancesDf(spark, inst)
-        val sparkBlocks = SparkTentativeGD.blocks(spark, instDf, rSnapshot)
-        val gd = TentativeGD.run(st) // mutates st but ordering used pre-mutation r
-        assert(sparkBlocks.map(_.toSeq).toSeq == gd.blocks.map(_.toSeq).toSeq, s"seed=$seed")
-      }
-    }
-  }
-
   test("SparkIPPV returns exactly the local IPPV results") {
     for (seed <- 1 to 3) {
       val g = TestGraphs.random(12, 0.5, seed + 6100)
@@ -68,18 +53,5 @@ class SparkCoreSpec extends SparkSpec {
     val local = IPPV.topK(g, inst, 5)
     val viaSpark = SparkIPPV.topK(spark, g, 3, 5, distributedFwThreshold = 1)
     assert(viaSpark.map(_.vertices.toSeq) == local.map(_.vertices.toSeq))
-  }
-
-  test("verifyBatch verdicts match sequential fastVerify") {
-    val g = TestGraphs.twoCliquesBridged(6, 4)
-    val inst = CliqueEnum.enumerate(g, 3)
-    val cores = repro.clique.CliqueCore.coreNumbers(inst)
-    val ub = cores.map(_.toDouble + 1e-12)
-    val lb = cores.map(_.toDouble / 3 - 1e-9)
-    val none = new Array[Boolean](g.n)
-    val candidates = Seq((0 until 6).toArray, (6 until 10).toArray, Array(0, 1, 2))
-    val batch = SparkIPPV.verifyBatch(spark, g, inst, candidates, ub, lb, none)
-    val seq = candidates.map(vs => Verify.fastVerify(g, inst, vs, ub, lb, none))
-    assert(batch == seq)
   }
 }

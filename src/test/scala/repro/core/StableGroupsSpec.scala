@@ -41,8 +41,8 @@ class StableGroupsSpec extends SparkSpec {
         val phi = BruteForce.compactNumbers(g, inst)
         for ((grp, gi) <- res.groups.zipWithIndex; v <- grp) {
           val exact = phi(v)._1.toDouble / phi(v)._2
-          assert(exact <= res.groupMaxR(gi) + StableGroups.boundSlack, s"seed=$seed v=$v ub")
-          assert(exact >= res.groupMinR(gi) - StableGroups.boundSlack, s"seed=$seed v=$v lb")
+          assert(exact <= res.groupMaxR(gi) + Bounds.groupSlack, s"seed=$seed v=$v ub")
+          assert(exact >= res.groupMinR(gi) - Bounds.groupSlack, s"seed=$seed v=$v lb")
         }
       }
     }

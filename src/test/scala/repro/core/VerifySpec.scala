@@ -136,8 +136,7 @@ class VerifySpec extends SparkSpec {
       val inst = CliqueEnum.enumerate(g, 3)
       if (inst.size > 0) {
         val cores = CliqueCore.coreNumbers(inst)
-        val ub = cores.map(_.toDouble + 1e-12)
-        val lb = cores.map(_.toDouble / 3 - 1e-9)
+        val (ub, lb) = Bounds.initial(cores, 3)
         val none = new Array[Boolean](g.n)
         for (mask <- 1 until (1 << g.n)) {
           if (BruteForce.connectedMask(g, mask)) {
@@ -217,8 +216,7 @@ class VerifySpec extends SparkSpec {
       (for (i <- 0 until 4; j <- i + 1 until 4) yield (i, j)) ++ Seq((4, 0), (4, 1), (4, 2)))
     val inst = CliqueEnum.enumerate(g, 3)
     val cores = CliqueCore.coreNumbers(inst)
-    val ub = cores.map(_.toDouble + 1e-12)
-    val lb = cores.map(_.toDouble / 3 - 1e-9)
+    val (ub, lb) = Bounds.initial(cores, 3)
     val none = new Array[Boolean](g.n)
     val whole = (0 until 5).toArray
     val k4 = (0 until 4).toArray

@@ -12,7 +12,8 @@ class LocalGraphSpec extends SparkSpec {
   }
 
   test("fromEdges rejects out-of-range endpoints") {
-    intercept[IllegalArgumentException](LocalGraph.fromEdges(2, Seq((0, 2))))
+    for (e <- Seq((0, 2), (5, 5), (-1, -1)))
+      intercept[IllegalArgumentException](LocalGraph.fromEdges(2, Seq(e)))
   }
 
   test("degrees and neighbor lists are sorted") {
